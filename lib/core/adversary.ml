@@ -9,58 +9,149 @@ type attack = {
   exact : bool;
 }
 
-(* Search statistics.  The B&B frontier (Bb) prunes against a shared
-   incumbent that tightens mid-flight, so which nodes get explored —
-   and with it every per-node count below — is timing-dependent:
-   Volatile.  What stays Stable is the spawn phase (a pure function of
-   the instance): the task count and the spawn depth are bit-identical
-   at any -j, and the determinism suites diff them.  Hot loops
-   accumulate plain local ints inside Bb and flush here once per
-   search. *)
-let m_bb_nodes =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/bb/nodes_expanded"
-let m_bb_leaves =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/bb/leaves"
-let m_bb_prunes =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/bb/bound_prunes"
-let m_bb_improves =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/bb/improvements"
-let m_bb_truncations =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/bb/truncations"
-let m_bb_spawned = Telemetry.Registry.counter "core/adversary/bb/spawned_tasks"
-let m_bb_spawn_depth =
-  Telemetry.Registry.gauge ~kind:Stable "core/adversary/bb/spawn_depth"
-let m_bb_steals =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/bb/steals"
-let m_bb_pubs =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/bb/bound_publications"
-let m_bb_completions =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/bb/completions"
-let m_greedy_runs = Telemetry.Registry.counter "core/adversary/greedy/runs"
-let m_greedy_evals = Telemetry.Registry.counter "core/adversary/greedy/marginal_evals"
-let m_ls_restarts = Telemetry.Registry.counter "core/adversary/local_search/restarts"
+(* ------------------------------------------------------------------ *)
+(* The unit-level search: greedy and exact over the units of any
+   kernel — this module's nodes, or Topology.Adversary's same-level
+   fault domains (a flat tree's racks are the nodes, so the two attacks
+   are one search).  Each adversary registers one metrics record under
+   its own path prefix.
+
+   The B&B frontier (Bb) prunes against a shared incumbent that tightens
+   mid-flight, so which nodes get explored — and with it every per-node
+   count below — is timing-dependent: Volatile.  What stays Stable is
+   the spawn phase (a pure function of the instance): the task count and
+   the spawn depth are bit-identical at any -j, and the determinism
+   suites diff them.  Hot loops accumulate plain local ints inside Bb
+   and flush here once per search.  Kernel counters (DESIGN.md §10):
+   greedy flushes deterministic counts into the Stable [kernel/updates];
+   the frontier's kernel traffic and undo depth follow its exploration
+   and are Volatile (kept under the bb/kernel prefix). *)
+
+module Units = struct
+  type metrics = {
+    bb_nodes : Telemetry.Counter.t;
+    bb_leaves : Telemetry.Counter.t;
+    bb_prunes : Telemetry.Counter.t;
+    bb_improves : Telemetry.Counter.t;
+    bb_truncations : Telemetry.Counter.t;
+    bb_spawned : Telemetry.Counter.t;
+    bb_spawn_depth : Telemetry.Gauge.t;
+    bb_steals : Telemetry.Counter.t;
+    bb_pubs : Telemetry.Counter.t;
+    bb_completions : Telemetry.Counter.t;
+    bb_kernel_updates : Telemetry.Counter.t;
+    greedy_runs : Telemetry.Counter.t;
+    greedy_evals : Telemetry.Counter.t;
+    kernel_updates : Telemetry.Counter.t;
+    kernel_pops : Telemetry.Counter.t;
+    kernel_stale : Telemetry.Counter.t;
+    kernel_undos : Telemetry.Counter.t;
+    kernel_undo_depth : Telemetry.Histogram.t;
+    span : Telemetry.Span.t;
+  }
+
+  let metrics prefix =
+    let path name = prefix ^ "/" ^ name in
+    let stable name = Telemetry.Registry.counter (path name) in
+    let volatile name = Telemetry.Registry.counter ~kind:Volatile (path name) in
+    {
+      bb_nodes = volatile "bb/nodes_expanded";
+      bb_leaves = volatile "bb/leaves";
+      bb_prunes = volatile "bb/bound_prunes";
+      bb_improves = volatile "bb/improvements";
+      bb_truncations = volatile "bb/truncations";
+      bb_spawned = stable "bb/spawned_tasks";
+      bb_spawn_depth =
+        Telemetry.Registry.gauge ~kind:Stable (path "bb/spawn_depth");
+      bb_steals = volatile "bb/steals";
+      bb_pubs = volatile "bb/bound_publications";
+      bb_completions = volatile "bb/completions";
+      bb_kernel_updates = volatile "bb/kernel_updates";
+      greedy_runs = stable "greedy/runs";
+      greedy_evals = stable "greedy/marginal_evals";
+      kernel_updates = stable "kernel/updates";
+      kernel_pops = stable "kernel/heap_pops";
+      kernel_stale = stable "kernel/stale_reevals";
+      kernel_undos = volatile "kernel/bb_undos";
+      kernel_undo_depth =
+        Telemetry.Registry.histogram ~kind:Volatile
+          (path "kernel/bb_undo_depth");
+      span = Telemetry.Registry.span (path "attack");
+    }
+
+  let span m = m.span
+  let kernel_updates m = m.kernel_updates
+
+  let greedy ?pool m kn ~k =
+    let picks, stats = Kernel.select_greedy_sharded ?pool kn ~picks:k in
+    Telemetry.Counter.incr m.greedy_runs;
+    Telemetry.Counter.add m.greedy_evals stats.Kernel.evals;
+    Telemetry.Counter.add m.kernel_pops stats.Kernel.heap_pops;
+    Telemetry.Counter.add m.kernel_stale stats.Kernel.stale_reevals;
+    Telemetry.Counter.add m.kernel_updates (Kernel.updates kn);
+    {
+      failed_nodes = Combin.Intset.of_array picks;
+      failed_objects = Kernel.killed kn;
+      exact = false;
+    }
+
+  (* Called once per search on the calling domain. *)
+  let flush_bb_stats m (st : Bb.stats) =
+    Telemetry.Gauge.set m.bb_spawn_depth (float_of_int st.Bb.spawn_depth);
+    Telemetry.Counter.add m.bb_spawned st.Bb.spawned_tasks;
+    Telemetry.Counter.add m.bb_nodes st.Bb.nodes;
+    Telemetry.Counter.add m.bb_leaves st.Bb.leaves;
+    Telemetry.Counter.add m.bb_prunes st.Bb.prunes;
+    Telemetry.Counter.add m.bb_improves st.Bb.improvements;
+    Telemetry.Counter.add m.bb_completions st.Bb.completions;
+    Telemetry.Counter.add m.bb_pubs st.Bb.bound_publications;
+    Telemetry.Counter.add m.bb_steals st.Bb.steals;
+    Telemetry.Counter.add m.bb_kernel_updates st.Bb.kernel_updates;
+    Telemetry.Counter.add m.kernel_undos st.Bb.undos;
+    Telemetry.Histogram.observe m.kernel_undo_depth st.Bb.max_undo_depth
+
+  (* The frontier (Bb, DESIGN.md §15) does the heavy lifting: greedy on a
+     copy of the all-up kernel seeds the shared incumbent, the spawn
+     phase shards the tree into prefix tasks, and work stealing drains
+     them under one global node budget.  The returned set is the
+     lexicographically smallest optimum whenever one strictly beats
+     greedy — identical at any [-j] — and on budget exhaustion the
+     result deterministically falls back to the greedy attack with
+     [exact = false]. *)
+  let exact ?(budget = 50_000_000) ?spawn_depth ?pool m kn ~k =
+    if k = 0 then { failed_nodes = [||]; failed_objects = 0; exact = true }
+    else begin
+      let g = greedy ?pool m (Kernel.copy kn) ~k in
+      let r =
+        Bb.search ?pool ?spawn_depth ~budget ~kernel:kn ~k
+          ~seed:g.failed_objects ()
+      in
+      flush_bb_stats m r.Bb.stats;
+      if r.Bb.truncated then begin
+        Telemetry.Counter.incr m.bb_truncations;
+        { g with exact = false }
+      end
+      else
+        match r.Bb.set with
+        | Some set ->
+            {
+              failed_nodes = Combin.Intset.of_array set;
+              failed_objects = r.Bb.value;
+              exact = true;
+            }
+        | None -> { g with exact = true }
+    end
+end
+
+let core = Units.metrics "core/adversary"
+let m_ls_restarts =
+  Telemetry.Registry.counter "core/adversary/local_search/restarts"
 let m_ls_passes = Telemetry.Registry.counter "core/adversary/local_search/passes"
 let m_ls_swaps = Telemetry.Registry.counter "core/adversary/local_search/swaps"
-let m_attack_exact = Telemetry.Registry.counter "core/adversary/attack/exact_dispatch"
-let m_attack_heur = Telemetry.Registry.counter "core/adversary/attack/heuristic_dispatch"
-let m_attack_span = Telemetry.Registry.span "core/adversary/attack"
-
-(* Kernel counters (see Kernel and DESIGN.md §10): incremental add/remove
-   updates and CELF heap activity.  The greedy/local-search paths flush
-   deterministic counts into the Stable [kernel/updates]; the frontier's
-   kernel traffic and undo depth follow its exploration and are Volatile
-   (kept under the bb/kernel prefix). *)
-let m_kernel_updates = Telemetry.Registry.counter "core/adversary/kernel/updates"
-let m_kernel_pops = Telemetry.Registry.counter "core/adversary/kernel/heap_pops"
-let m_kernel_stale =
-  Telemetry.Registry.counter "core/adversary/kernel/stale_reevals"
-let m_bb_kernel_updates =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/bb/kernel_updates"
-let m_kernel_undos =
-  Telemetry.Registry.counter ~kind:Volatile "core/adversary/kernel/bb_undos"
-let m_kernel_undo_depth =
-  Telemetry.Registry.histogram ~kind:Volatile
-    "core/adversary/kernel/bb_undo_depth"
+let m_attack_exact =
+  Telemetry.Registry.counter "core/adversary/attack/exact_dispatch"
+let m_attack_heur =
+  Telemetry.Registry.counter "core/adversary/attack/heuristic_dispatch"
 
 (* One-shot scoring: a single O(b·r) merge pass with no allocation.
    Routing this through a throwaway Kernel would rebuild the per-object
@@ -68,74 +159,12 @@ let m_kernel_undo_depth =
    {!Kernel.t} across calls instead (Kernel.check, or add + killed). *)
 let eval layout ~s failed_nodes = Layout.failed_objects layout ~s ~failed_nodes
 
-let pmap pool f xs =
-  match pool with
-  | Some p -> Engine.Pool.parallel_map p f xs
-  | None -> Array.map f xs
-
 let greedy ?pool layout ~s ~k =
-  let kn = Kernel.make layout ~s in
-  let picks, stats = Kernel.select_greedy_sharded ?pool kn ~picks:k in
-  Telemetry.Counter.incr m_greedy_runs;
-  Telemetry.Counter.add m_greedy_evals stats.Kernel.evals;
-  Telemetry.Counter.add m_kernel_pops stats.Kernel.heap_pops;
-  Telemetry.Counter.add m_kernel_stale stats.Kernel.stale_reevals;
-  Telemetry.Counter.add m_kernel_updates (Kernel.updates kn);
-  {
-    failed_nodes = Combin.Intset.of_array picks;
-    failed_objects = Kernel.killed kn;
-    exact = false;
-  }
+  Units.greedy ?pool core (Kernel.make layout ~s) ~k
 
-(* Flush a frontier run's statistics into the core counters; shared with
-   {!exact_seq}.  Called once per search on the calling domain. *)
-let flush_bb_stats (st : Bb.stats) =
-  Telemetry.Gauge.set m_bb_spawn_depth (float_of_int st.Bb.spawn_depth);
-  Telemetry.Counter.add m_bb_spawned st.Bb.spawned_tasks;
-  Telemetry.Counter.add m_bb_nodes st.Bb.nodes;
-  Telemetry.Counter.add m_bb_leaves st.Bb.leaves;
-  Telemetry.Counter.add m_bb_prunes st.Bb.prunes;
-  Telemetry.Counter.add m_bb_improves st.Bb.improvements;
-  Telemetry.Counter.add m_bb_completions st.Bb.completions;
-  Telemetry.Counter.add m_bb_pubs st.Bb.bound_publications;
-  Telemetry.Counter.add m_bb_steals st.Bb.steals;
-  Telemetry.Counter.add m_bb_kernel_updates st.Bb.kernel_updates;
-  Telemetry.Counter.add m_kernel_undos st.Bb.undos;
-  Telemetry.Histogram.observe m_kernel_undo_depth st.Bb.max_undo_depth
-
-(* The frontier (Bb, DESIGN.md §15) does the heavy lifting: greedy seeds
-   the shared incumbent, the spawn phase shards the tree into prefix
-   tasks, and work stealing drains them under one global node budget.
-   The returned set is the lexicographically smallest optimum whenever
-   one strictly beats greedy — identical at any [-j] — and on budget
-   exhaustion the result deterministically falls back to the greedy
-   attack with [exact = false]. *)
-let exact ?(budget = 50_000_000) ?spawn_depth ?pool layout ~s ~k =
-  let n = layout.Layout.n in
-  if k >= n then invalid_arg "Adversary.exact: k >= n";
-  if k = 0 then { failed_nodes = [||]; failed_objects = 0; exact = true }
-  else begin
-    let kn0 = Kernel.make layout ~s in
-    let g = greedy ?pool layout ~s ~k in
-    let r =
-      Bb.search ?pool ?spawn_depth ~budget ~kernel:kn0 ~k
-        ~seed:g.failed_objects ()
-    in
-    flush_bb_stats r.Bb.stats;
-    if r.Bb.truncated then begin
-      Telemetry.Counter.incr m_bb_truncations;
-      { g with exact = false }
-    end
-    else
-      match r.Bb.set with
-      | Some set ->
-          {
-            failed_nodes = Combin.Intset.of_array set;
-            failed_objects = r.Bb.value;
-            exact = true;
-          }
-      | None -> { g with exact = true }
-  end
+let exact ?budget ?spawn_depth ?pool layout ~s ~k =
+  if k >= layout.Layout.n then invalid_arg "Adversary.exact: k >= n";
+  Units.exact ?budget ?spawn_depth ?pool core (Kernel.make layout ~s) ~k
 
 (* The sequential reference oracle: the whole search runs in the
    deterministic spawn phase ([spawn_depth = k]), with no pool — classic
@@ -221,7 +250,7 @@ let local_search ~rng ?(restarts = 8) ?pool layout ~s ~k =
     (attack_of_state st chosen, passes, swaps, Kernel.updates st)
   in
   let indices = Array.init restarts Fun.id in
-  let results = pmap pool run_restart indices in
+  let results = Engine.Pool.map_opt pool run_restart indices in
   let candidates = Array.map (fun (a, _, _, _) -> a) results in
   (* Per-restart stats flushed in restart order on the calling domain. *)
   Array.iter
@@ -229,7 +258,7 @@ let local_search ~rng ?(restarts = 8) ?pool layout ~s ~k =
       Telemetry.Counter.incr m_ls_restarts;
       Telemetry.Counter.add m_ls_passes passes;
       Telemetry.Counter.add m_ls_swaps swaps;
-      Telemetry.Counter.add m_kernel_updates updates)
+      Telemetry.Counter.add core.Units.kernel_updates updates)
     results;
   (* First-index-wins max: the earliest restart reaching the best damage
      provides the reported node set, as in the sequential reference. *)
@@ -240,7 +269,7 @@ let local_search ~rng ?(restarts = 8) ?pool layout ~s ~k =
   !best
 
 let attack ?pool ?rng ?(restarts = 8) ?(exact_limit = 5e7) layout ~s ~k =
-  Telemetry.Span.time m_attack_span @@ fun () ->
+  Telemetry.Span.time core.Units.span @@ fun () ->
   let rng = match rng with Some r -> r | None -> Combin.Rng.create 0xADE5 in
   let n = layout.Layout.n in
   let combos =
@@ -273,8 +302,5 @@ let attack ?pool ?rng ?(restarts = 8) ?(exact_limit = 5e7) layout ~s ~k =
           n (Layout.b layout) s k (combos *. avg_degree) restarts);
     local_search ~rng ~restarts ?pool layout ~s ~k
   end
-
-let best ?pool ?rng ?exact_limit layout ~s ~k =
-  attack ?pool ?rng ?exact_limit layout ~s ~k
 
 let avail layout ~s:_ attack = Layout.b layout - attack.failed_objects

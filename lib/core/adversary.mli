@@ -83,11 +83,40 @@ val attack :
     heuristic, so callers can tell a heuristic answer from an exact
     one. *)
 
-val best :
-  ?pool:Engine.Pool.t -> ?rng:Combin.Rng.t -> ?exact_limit:float ->
-  Layout.t -> s:int -> k:int -> attack
-(** [attack] without the restart override; kept for callers of the
-    pre-pool API. *)
-
 val avail : Layout.t -> s:int -> attack -> int
 (** [b - attack.failed_objects]: the (estimated) Avail(π) of Def. 1. *)
+
+(** The unit-level search behind {!greedy} and {!exact}, over the units
+    of any {!Kernel.t}: this module's nodes, or [Topology.Adversary]'s
+    same-level fault domains (on a flat tree the two attacks are one
+    search, DESIGN.md §9).  The returned [failed_nodes] are the kernel's
+    unit ids — domain ids on a domain kernel. *)
+module Units : sig
+  type metrics
+  (** One adversary's search telemetry: the [greedy/*], [kernel/*] and
+      [bb/*] counters and the [attack] span. *)
+
+  val metrics : string -> metrics
+  (** Register (find-or-create) the record under a path prefix, e.g.
+      ["core/adversary"]; call once per prefix at module
+      initialization. *)
+
+  val span : metrics -> Telemetry.Span.t
+  (** [<prefix>/attack]: the adversary's dispatch span. *)
+
+  val kernel_updates : metrics -> Telemetry.Counter.t
+  (** [<prefix>/kernel/updates] (Stable), for a caller that drives its
+      own kernel. *)
+
+  val greedy : ?pool:Engine.Pool.t -> metrics -> Kernel.t -> k:int -> attack
+  (** Sharded CELF ({!Kernel.select_greedy_sharded}) on the given
+      kernel, which ends with the picks applied; [exact = false]. *)
+
+  val exact :
+    ?budget:int -> ?spawn_depth:int -> ?pool:Engine.Pool.t ->
+    metrics -> Kernel.t -> k:int -> attack
+  (** The B&B frontier ({!Bb.search}) over the given all-up kernel
+      (only read), seeded by {!greedy} on a {!Kernel.copy} of it; see
+      {!Adversary.exact} for [budget] (default 50 million),
+      [spawn_depth] and the fallback. *)
+end

@@ -218,8 +218,8 @@ type greedy_stats = { evals : int; heap_pops : int; stale_reevals : int }
    winner stays out.  The batch changes only heap internals — the heap
    order is total, so pops (and hence picks and stats) are identical to
    the one-push-per-loser formulation, minus its per-loser sift cost.
-   Returns best_id = -1 on an empty heap (sharded callers own shards
-   that may run dry; select_greedy guards against it up front).
+   Returns best_id = -1 on an empty heap (a shard may run dry; the
+   driver's reduce skips it).
 
    [marginal] abstracts the counter state being scanned: the flat kernel
    passes [marginal t], the dynamic kernel ({!Dyn.worst_case}) a closure
@@ -283,60 +283,27 @@ let round_scan ~marginal heap ~packed =
   Combin.Heap.Int_max.push_many heap ~keys:!lkeys ~payloads:!lpays ~count:!cnt;
   (!best_key, !best_id, !best_pr, !evals, !pops, !stale)
 
-let select_greedy ?heap t ~picks =
-  let n = units t in
-  if picks > n - Combin.Bitset.count t.failed then
-    invalid_arg "Kernel.select_greedy: more picks than unchosen units";
-  let base = 1 + Combin.Csr.max_degree t.csr in
-  let packed ne pr = (ne * base) + pr in
-  let heap =
-    (* A caller-owned heap is cleared and refilled: the pop order is a
-       strict total order on (key, payload), so reuse cannot change any
-       pick — it only skips the per-call allocation. *)
-    match heap with
-    | Some h ->
-        Combin.Heap.Int_max.clear h;
-        h
-    | None -> Combin.Heap.Int_max.create ()
-  in
-  let evals = ref 0 and pops = ref 0 and stale = ref 0 in
-  for u = 0 to n - 1 do
-    if not (Combin.Bitset.mem t.failed u) then begin
-      let _, pr = marginal t u in
-      incr evals;
-      Combin.Heap.Int_max.push heap ~key:(packed pr pr) u
-    end
-  done;
-  let out = Array.make picks 0 in
-  for pick = 0 to picks - 1 do
-    let _, best_id, _, e, p, st = round_scan ~marginal:(marginal t) heap ~packed in
-    evals := !evals + e;
-    pops := !pops + p;
-    stale := !stale + st;
-    add t best_id;
-    out.(pick) <- best_id
-  done;
-  (out, { evals = !evals; heap_pops = !pops; stale_reevals = !stale })
-
 (* ------------------------------------------------------------------ *)
-(* Sharded CELF: partition the unit ids into contiguous shards, give
-   each shard its own bound heap, and per pick let every shard produce
-   its exact-checked local argmax in parallel; the caller reduces with
-   the global (packed value desc, unit id asc) order.  The winning
-   unit's id is the lowest id attaining the global exact maximum —
-   exactly the sequential scan's choice — so picks are bit-identical to
-   {!select_greedy} at any pool size.
+(* The CELF driver behind {!select_greedy}, {!select_greedy_sharded} and
+   {!Dyn.worst_case}.  The unit ids split into [shards] contiguous
+   blocks, each with its own bound heap; per pick every shard produces
+   its exact-checked local argmax (in parallel over [pool] when more
+   than one shard), and the caller reduces with the global (packed
+   value desc, unit id asc) order.  The winning unit's id is the lowest
+   id attaining the global exact maximum — exactly the one-heap scan's
+   choice — so picks AND stats are bit-identical at any shard count and
+   any pool size.  One shard is the sequential scan: no pool dispatch.
 
-   All shards read the caller's ONE counter state: within a round the
-   kernel is never mutated (marginal is read-only; a shard mutates only
-   its own heap), and the winner's O(load) add lands on the calling
-   domain between rounds — so rounds are data-race free and the hits
-   plane stays a single cache-resident copy instead of a per-shard
-   mirror (which costs ~2× wall on b ~ 10^6 planes from the extra
-   memory traffic alone).  The shard count is a pure function of the
-   unit count (never of the pool), so the eval/pop statistics are
-   themselves deterministic at any -j (the Stable telemetry contract);
-   see DESIGN.md §11. *)
+   All shards read the caller's ONE counter state: within a round it is
+   never mutated (marginal is read-only; a shard mutates only its own
+   heap), and the winner's O(load) [apply] lands on the calling domain
+   between rounds — so rounds are data-race free and the hits plane
+   stays a single cache-resident copy instead of a per-shard mirror
+   (which costs ~2× wall on b ~ 10^6 planes from the extra memory
+   traffic alone).  The sharded front end derives its shard count from
+   the unit count alone (never from the pool), so the eval/pop
+   statistics are themselves deterministic at any -j (the Stable
+   telemetry contract); see DESIGN.md §11. *)
 
 type shard = {
   heap : Combin.Heap.Int_max.t;
@@ -350,108 +317,122 @@ type shard = {
   mutable s_stale : int;
 }
 
+(* [units] bounds the unit ids and [candidate] filters those the fill
+   pushes; [marginal] scores one unit against the counter state and
+   [apply] fails it there; [base] packs (newly, progress) and must
+   exceed both components.  [heap] is a caller-owned heap for the first
+   shard (only {!select_greedy} passes one), cleared and refilled: the
+   pop order is a strict total order on (key, payload), so reuse cannot
+   change any pick — it only skips the per-call allocation. *)
+let celf ?heap ?pool ~shards ~candidate ~marginal ~apply ~base ~picks units =
+  let packed ne pr = (ne * base) + pr in
+  let shard i =
+    let heap =
+      match heap with
+      | Some h when i = 0 ->
+          Combin.Heap.Int_max.clear h;
+          h
+      | _ -> Combin.Heap.Int_max.create ()
+    in
+    {
+      heap;
+      lo = i * units / shards;
+      hi = (i + 1) * units / shards;
+      filled = false;
+      held = -1;
+      held_pr = 0;
+      s_evals = 0;
+      s_pops = 0;
+      s_stale = 0;
+    }
+  in
+  let shards_arr = Array.init shards shard in
+  let round pending sh =
+    (* A held local best that lost the previous global reduce re-enters
+       with its (still valid) refreshed bound. *)
+    if sh.held >= 0 && sh.held <> pending then
+      Combin.Heap.Int_max.push sh.heap ~key:(packed sh.held_pr sh.held_pr)
+        sh.held;
+    sh.held <- -1;
+    if not sh.filled then begin
+      (* Deferred initial fill: the O(units·load) bound pass is the bulk
+         of a greedy run, so it rides the first (parallel) round. *)
+      sh.filled <- true;
+      for u = sh.lo to sh.hi - 1 do
+        if candidate u then begin
+          let _, pr = marginal u in
+          sh.s_evals <- sh.s_evals + 1;
+          Combin.Heap.Int_max.push sh.heap ~key:(packed pr pr) u
+        end
+      done
+    end;
+    let best_key, best_id, best_pr, e, p, st =
+      round_scan ~marginal sh.heap ~packed
+    in
+    sh.s_evals <- sh.s_evals + e;
+    sh.s_pops <- sh.s_pops + p;
+    sh.s_stale <- sh.s_stale + st;
+    if best_id >= 0 then begin
+      sh.held <- best_id;
+      sh.held_pr <- best_pr
+    end;
+    (best_key, best_id)
+  in
+  let map = if shards = 1 then Array.map else Engine.Pool.map_opt pool in
+  let out = Array.make picks 0 in
+  let pending = ref (-1) in
+  for pick = 0 to picks - 1 do
+    (* The previous winner's damage lands once, here, on the calling
+       domain: the in-flight round then only reads the counter state. *)
+    if !pending >= 0 then apply !pending;
+    let results = map (round !pending) shards_arr in
+    (* Reduce: greatest exact value, ties to the lowest unit id — the
+       same total order the one-heap scan applies globally. *)
+    let bk = ref (-1) and bid = ref (-1) in
+    Array.iter
+      (fun (key, id) ->
+        if id >= 0 && (key > !bk || (key = !bk && id < !bid)) then begin
+          bk := key;
+          bid := id
+        end)
+      results;
+    out.(pick) <- !bid;
+    pending := !bid
+  done;
+  (* The final winner's apply: the state ends with every pick applied. *)
+  if !pending >= 0 then apply !pending;
+  let evals = ref 0 and pops = ref 0 and stale = ref 0 in
+  Array.iter
+    (fun sh ->
+      evals := !evals + sh.s_evals;
+      pops := !pops + sh.s_pops;
+      stale := !stale + sh.s_stale)
+    shards_arr;
+  (out, { evals = !evals; heap_pops = !pops; stale_reevals = !stale })
+
 (* ~512 units per shard: small enough that a 10^4-node instance spreads
    over ~20 shards, large enough that a shard amortizes its batch
    dispatch; capped so shard state stays bounded.  Must stay a pure
    function of [units] — see above. *)
 let default_shards units = min 64 (max 1 (units / 512))
 
-let pmap pool f xs =
-  match pool with
-  | Some p -> Engine.Pool.parallel_map p f xs
-  | None -> Array.map f xs
-
-let select_greedy_sharded ?pool ?shards t ~picks =
+let flat_greedy ?heap ?pool ~shards t ~picks =
   let n = units t in
   if picks > n - Combin.Bitset.count t.failed then
     invalid_arg "Kernel.select_greedy: more picks than unchosen units";
-  let nshards =
-    match shards with Some s -> max 1 s | None -> default_shards n
+  celf ?heap ?pool ~shards
+    ~candidate:(fun u -> not (Combin.Bitset.mem t.failed u))
+    ~marginal:(marginal t) ~apply:(add t)
+    ~base:(1 + Combin.Csr.max_degree t.csr)
+    ~picks n
+
+let select_greedy ?heap t ~picks = flat_greedy ?heap ~shards:1 t ~picks
+
+let select_greedy_sharded ?pool ?shards t ~picks =
+  let shards =
+    match shards with Some s -> max 1 s | None -> default_shards (units t)
   in
-  if nshards = 1 then select_greedy t ~picks
-  else begin
-    let base = 1 + Combin.Csr.max_degree t.csr in
-    let packed ne pr = (ne * base) + pr in
-    let shards_arr =
-      Array.init nshards (fun i ->
-          {
-            heap = Combin.Heap.Int_max.create ();
-            lo = i * n / nshards;
-            hi = (i + 1) * n / nshards;
-            filled = false;
-            held = -1;
-            held_pr = 0;
-            s_evals = 0;
-            s_pops = 0;
-            s_stale = 0;
-          })
-    in
-    let out = Array.make picks 0 in
-    let pending = ref (-1) in
-    for pick = 0 to picks - 1 do
-      (* The previous winner's damage lands once, here, on the calling
-         domain: the in-flight round then only reads the kernel. *)
-      if !pending >= 0 then add t !pending;
-      let results =
-        pmap pool
-          (fun sh ->
-            (* A held local best that lost the previous global reduce
-               re-enters with its (still valid) refreshed bound. *)
-            if sh.held >= 0 && sh.held <> !pending then
-              Combin.Heap.Int_max.push sh.heap
-                ~key:(packed sh.held_pr sh.held_pr) sh.held;
-            sh.held <- -1;
-            if not sh.filled then begin
-              (* Deferred initial fill: the O(units·load) bound pass is
-                 the bulk of a greedy run, so it rides the first
-                 parallel round. *)
-              sh.filled <- true;
-              for u = sh.lo to sh.hi - 1 do
-                if not (Combin.Bitset.mem t.failed u) then begin
-                  let _, pr = marginal t u in
-                  sh.s_evals <- sh.s_evals + 1;
-                  Combin.Heap.Int_max.push sh.heap ~key:(packed pr pr) u
-                end
-              done
-            end;
-            let best_key, best_id, best_pr, e, p, st =
-              round_scan ~marginal:(marginal t) sh.heap ~packed
-            in
-            sh.s_evals <- sh.s_evals + e;
-            sh.s_pops <- sh.s_pops + p;
-            sh.s_stale <- sh.s_stale + st;
-            if best_id >= 0 then begin
-              sh.held <- best_id;
-              sh.held_pr <- best_pr
-            end;
-            (best_key, best_id))
-          shards_arr
-      in
-      (* Reduce: greatest exact value, ties to the lowest unit id — the
-         same total order the sequential scan applies globally. *)
-      let bk = ref (-1) and bid = ref (-1) in
-      Array.iter
-        (fun (key, id) ->
-          if id >= 0 && (key > !bk || (key = !bk && id < !bid)) then begin
-            bk := key;
-            bid := id
-          end)
-        results;
-      out.(pick) <- !bid;
-      pending := !bid
-    done;
-    (* The final winner's add: the kernel ends with every pick applied,
-       per the {!select_greedy} contract. *)
-    if !pending >= 0 then add t !pending;
-    let evals = ref 0 and pops = ref 0 and stale = ref 0 in
-    Array.iter
-      (fun sh ->
-        evals := !evals + sh.s_evals;
-        pops := !pops + sh.s_pops;
-        stale := !stale + sh.s_stale)
-      shards_arr;
-    (out, { evals = !evals; heap_pops = !pops; stale_reevals = !stale })
-  end
+  flat_greedy ?pool ~shards t ~picks
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic kernel: the object population itself churns. *)
@@ -469,7 +450,7 @@ module Dyn = struct
      slot moves into a freed one (callers track the move via
      {!remove_object}'s return), so the hits plane never fragments.
 
-     Greedy parity: {!worst_case} runs the same CELF round_scan over a
+     Greedy parity: {!worst_case} runs the same CELF driver over a
      scratch all-up plane.  Its packing base is 1 + max_degree where
      max_degree is a MONOTONE high-water mark of row length — possibly
      larger than the current max degree after deletes, but any base
@@ -631,18 +612,37 @@ module Dyn = struct
     if u < 0 || u >= t.units then
       invalid_arg (Printf.sprintf "Kernel.Dyn.%s: unit %d out of range" name u)
 
+  (* The two row loops over a counter plane, shared by the live plane
+     ({!marginal}, {!fail_unit}) and {!worst_case}'s all-up scratch
+     plane. *)
+  let row_marginal t (plane : hits_plane) u =
+    let newly = ref 0 and progress = ref 0 in
+    let row = t.rows.(u) and s = t.s in
+    for i = 0 to t.row_len.(u) - 1 do
+      let h = plane.{Array.unsafe_get row i} in
+      if h + 1 = s then incr newly;
+      if h < s then incr progress
+    done;
+    (!newly, !progress)
+
+  (* Returns the objects this unit pushed to exactly [s] hits. *)
+  let row_fail t (plane : hits_plane) u =
+    let row = t.rows.(u) and s = t.s in
+    let dead = ref 0 in
+    for i = 0 to t.row_len.(u) - 1 do
+      let slot = Array.unsafe_get row i in
+      let h = plane.{slot} + 1 in
+      plane.{slot} <- h;
+      if h = s then incr dead
+    done;
+    !dead
+
   let fail_unit t u =
     check_unit t u "fail_unit";
     if Combin.Bitset.mem t.failed u then
       invalid_arg "Kernel.Dyn.fail_unit: unit already failed";
     Combin.Bitset.add t.failed u;
-    let row = t.rows.(u) and s = t.s in
-    for i = 0 to t.row_len.(u) - 1 do
-      let slot = Array.unsafe_get row i in
-      let h = t.hits.{slot} + 1 in
-      t.hits.{slot} <- h;
-      if h = s then t.killed <- t.killed + 1
-    done
+    t.killed <- t.killed + row_fail t t.hits u
 
   let recover_unit t u =
     check_unit t u "recover_unit";
@@ -663,14 +663,7 @@ module Dyn = struct
 
   let marginal t u =
     check_unit t u "marginal";
-    let newly = ref 0 and progress = ref 0 in
-    let row = t.rows.(u) and s = t.s in
-    for i = 0 to t.row_len.(u) - 1 do
-      let h = t.hits.{Array.unsafe_get row i} in
-      if h + 1 = s then incr newly;
-      if h < s then incr progress
-    done;
-    (!newly, !progress)
+    row_marginal t t.hits u
 
   (* The from-scratch oracle: recount every object's hits straight from
      its replica list and the failed bitset, verifying the incremental
@@ -704,46 +697,13 @@ module Dyn = struct
     (* All-up scratch plane: the adversary attacks the current object
        population from zero failures, never the live failure state. *)
     let scratch = fresh_hits (max 1 t.b) in
-    let s = t.s in
     let dead = ref 0 in
-    let marginal_scratch u =
-      let newly = ref 0 and progress = ref 0 in
-      let row = t.rows.(u) in
-      for i = 0 to t.row_len.(u) - 1 do
-        let h = scratch.{Array.unsafe_get row i} in
-        if h + 1 = s then incr newly;
-        if h < s then incr progress
-      done;
-      (!newly, !progress)
+    let picks, stats =
+      celf ~shards:1
+        ~candidate:(fun _ -> true)
+        ~marginal:(row_marginal t scratch)
+        ~apply:(fun u -> dead := !dead + row_fail t scratch u)
+        ~base:(1 + t.max_degree) ~picks:k t.units
     in
-    let apply u =
-      let row = t.rows.(u) in
-      for i = 0 to t.row_len.(u) - 1 do
-        let slot = Array.unsafe_get row i in
-        let h = scratch.{slot} + 1 in
-        scratch.{slot} <- h;
-        if h = s then incr dead
-      done
-    in
-    let base = 1 + t.max_degree in
-    let packed ne pr = (ne * base) + pr in
-    let heap = Combin.Heap.Int_max.create () in
-    let evals = ref 0 and pops = ref 0 and stale = ref 0 in
-    for u = 0 to t.units - 1 do
-      let _, pr = marginal_scratch u in
-      incr evals;
-      Combin.Heap.Int_max.push heap ~key:(packed pr pr) u
-    done;
-    let out = Array.make k 0 in
-    for pick = 0 to k - 1 do
-      let _, best_id, _, e, p, st =
-        round_scan ~marginal:marginal_scratch heap ~packed
-      in
-      evals := !evals + e;
-      pops := !pops + p;
-      stale := !stale + st;
-      apply best_id;
-      out.(pick) <- best_id
-    done;
-    (out, !dead, { evals = !evals; heap_pops = !pops; stale_reevals = !stale })
+    (picks, !dead, stats)
 end

@@ -122,7 +122,9 @@ val select_greedy :
     greedy-completion probes, {!Bb}) supply a long-lived heap that is
     {!Combin.Heap.Int_max.clear}ed and reused instead of allocated per
     call; the pop order is a strict total order, so reuse changes no
-    pick and no statistic.
+    pick and no statistic.  This, {!select_greedy_sharded} and
+    {!Dyn.worst_case} are one CELF driver: this is its single-shard
+    case, run on the calling domain.
     @raise Invalid_argument if [picks] exceeds the unchosen units. *)
 
 val select_greedy_sharded :
@@ -135,7 +137,9 @@ val select_greedy_sharded :
     bit-identical to {!select_greedy} and to any other [pool] size.
     [shards] defaults to a pure function of the unit count (never of
     the pool), preserving the Stable-telemetry -j invariance; pass it
-    explicitly only in tests.  See DESIGN.md §11. *)
+    explicitly only in tests.  One shard (every instance below 1024
+    units) is exactly {!select_greedy}, with no pool dispatch.  See
+    DESIGN.md §11. *)
 
 val updates : t -> int
 (** Lifetime {!add} + {!remove} count on this state (not its copies) —
@@ -224,9 +228,10 @@ module Dyn : sig
       attacking from all-up on a scratch counter plane (the live failure
       state is left untouched and does not bias the adversary): returns
       the k picks in order, the objects they kill, and the scan stats.
-      Picks and stats are bit-identical to {!select_greedy} on a freshly
-      built flat kernel over the same live objects — the packing base
-      differs (a monotone degree high-water mark) but every CELF
-      comparison is base-invariant (see DESIGN.md §12).
+      Runs {!select_greedy}'s own CELF driver over the scratch plane,
+      so picks and stats are bit-identical to {!select_greedy} on a
+      freshly built flat kernel over the same live objects — the
+      packing base differs (a monotone degree high-water mark) but
+      every CELF comparison is base-invariant (see DESIGN.md §12).
       @raise Invalid_argument when [k] exceeds the unit count. *)
 end

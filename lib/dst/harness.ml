@@ -182,7 +182,4 @@ let run ?history (cfg : config) =
     Dsim.Inject.with_arming ~seed:cfg.seed ~rate:cfg.inject_rate body
   else Dsim.Inject.without body
 
-let sweep ?pool configs =
-  match pool with
-  | None -> Array.map (fun cfg -> run cfg) configs
-  | Some p -> Engine.Pool.parallel_map p (fun cfg -> run cfg) configs
+let sweep ?pool configs = Engine.Pool.map_opt pool (fun cfg -> run cfg) configs

@@ -206,6 +206,9 @@ let parallel_map t f xs =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
+let map_opt pool f xs =
+  match pool with Some p -> parallel_map p f xs | None -> Array.map f xs
+
 (* Work-stealing fan-out: tasks are dealt round-robin into one deque per
    pool slot; each slot drains its own deque front-to-back, then scans
    the other slots' deques and steals from their backs.  Tasks never

@@ -45,6 +45,11 @@ val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
     application raises, the first (lowest-indexed) exception is re-raised
     in the caller after all tasks have settled. *)
 
+val map_opt : t option -> ('a -> 'b) -> 'a array -> 'b array
+(** {!parallel_map} over the pool when one is given, [Array.map] on the
+    calling domain otherwise — the one switch for layers whose pool is
+    optional. *)
+
 val parallel_steal : t -> f:(worker:int -> 'a -> unit) -> 'a array -> int
 (** [parallel_steal t ~f tasks] runs [f ~worker tasks.(i)] for every [i]
     through per-slot work-stealing deques ({!Deque}): task [i] is dealt

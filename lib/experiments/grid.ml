@@ -4,13 +4,7 @@ let map ?pool ?span f xs =
     | None -> f
     | Some sp -> fun x -> Telemetry.Span.time sp (fun () -> f x)
   in
-  let arr = Array.of_list xs in
-  let out =
-    match pool with
-    | Some p -> Engine.Pool.parallel_map p f arr
-    | None -> Array.map f arr
-  in
-  Array.to_list out
+  Array.to_list (Engine.Pool.map_opt pool f (Array.of_list xs))
 
 let cell_span name =
   Telemetry.Registry.span (Printf.sprintf "experiments/%s/cell" name)

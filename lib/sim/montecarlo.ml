@@ -39,12 +39,7 @@ let run ?pool ~rng ~trials ~placement ~scenario ~semantics () =
     let cluster = Cluster.create layout semantics in
     Scenario.run ~rng:trial_rng cluster scenario
   in
-  let avails =
-    match pool with
-    | Some p -> Engine.Pool.parallel_map p one_trial trial_rngs
-    | None -> Array.map one_trial trial_rngs
-  in
-  of_avails avails
+  of_avails (Engine.Pool.map_opt pool one_trial trial_rngs)
 
 let avg_avail_random ?pool ~rng ~trials (p : Placement.Params.t) =
   run ?pool ~rng ~trials

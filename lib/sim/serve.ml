@@ -130,22 +130,27 @@ let run ?max_events ?snapshot_every ?(timeout = 0.) session ~input ~output =
               (match resp with Api.Applied _ -> snapshot () | _ -> ()))
     end
   in
-  (* Line framing over raw reads: accumulate chunks, split on '\n'.  A
-     trailing unterminated line is still processed at EOF. *)
+  (* Line framing over raw reads: only the newly read bytes are scanned
+     for '\n', and an unterminated tail waits in [pending], copied in
+     once — a line spanning many reads costs linear, not quadratic,
+     copying.  A trailing unterminated line is still processed at EOF. *)
   let pending = Buffer.create 256 in
   let chunk = Bytes.create 65536 in
-  let drain_pending_lines () =
-    let data = Buffer.contents pending in
+  let take_line () =
+    let line = Buffer.contents pending in
     Buffer.clear pending;
-    let rec go start =
-      match String.index_from_opt data start '\n' with
-      | Some nl ->
-          handle_line (String.sub data start (nl - start));
-          go (nl + 1)
-      | None ->
-          Buffer.add_substring pending data start (String.length data - start)
-    in
-    go 0
+    handle_line line
+  in
+  let frame n =
+    let start = ref 0 in
+    for i = 0 to n - 1 do
+      if Bytes.get chunk i = '\n' then begin
+        Buffer.add_subbytes pending chunk !start (i - !start);
+        take_line ();
+        start := i + 1
+      end
+    done;
+    Buffer.add_subbytes pending chunk !start (n - !start)
   in
   (try
      let eof = ref false in
@@ -172,17 +177,12 @@ let run ?max_events ?snapshot_every ?(timeout = 0.) session ~input ~output =
            | `Ready -> (
                match Unix.read input chunk 0 (Bytes.length chunk) with
                | 0 -> eof := true
-               | n ->
-                   Buffer.add_subbytes pending chunk 0 n;
-                   drain_pending_lines ()
+               | n -> frame n
                | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
        end
      done;
      (* Drain: answer what was already buffered, even on a signal. *)
-     if Buffer.length pending > 0 then begin
-       Buffer.add_char pending '\n';
-       drain_pending_lines ()
-     end
+     if Buffer.length pending > 0 then take_line ()
    with Peer_gone -> finish Eof);
   let reason =
     match !finished with Some reason -> reason | None -> Eof

@@ -7,14 +7,17 @@
     rack-level adversary therefore {e is} the node adversary and finds
     the same availability.
 
-    Search discipline (identical to {!Placement.Adversary}, see
-    DESIGN.md §6/§9/§15): exhaustive enumeration when [C(domains, j)]
-    is small, otherwise the work-stealing sharded B&B frontier
-    ({!Placement.Bb}) over the domain kernel — prefix tasks cut at a
-    deterministic spawn depth, one global node budget, pruning against
-    the shared {!Engine.Bound} incumbent, and a (value, lexicographic)
-    merge — so the reported attack is bit-identical at any [-j] even
-    though the explored node set is not. *)
+    Search: the domains are the units of a domain kernel, and greedy and
+    branch-and-bound are the node adversary's own unit-level search
+    ({!Placement.Adversary.Units}, DESIGN.md §9/§15) — the work-stealing
+    sharded frontier ({!Placement.Bb}) with a deterministic spawn depth,
+    one global node budget, pruning against the shared {!Engine.Bound}
+    incumbent and a (value, lexicographic) merge, so the reported attack
+    is bit-identical at any [-j] even though the explored node set is
+    not.  Only the exhaustive oracle and the dispatch are domain-specific.
+    Telemetry lands under [topology/adversary/...]: the shared search's
+    metric record under this prefix, plus the exhaustive and dispatch
+    counters. *)
 
 type attack = {
   failed_domains : int array;  (** chosen domain ids, ascending *)

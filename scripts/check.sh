@@ -7,9 +7,10 @@
 # BENCH_topology.json in the repo root), then a
 # telemetry smoke run (--metrics must carry the placement/v1 envelope,
 # the disabled-instrumentation overhead guard must hold) and a topology
-# smoke run (rack adversary vs node adversary sanity inequality, domain
-# adversary -j determinism), and a churn smoke (a 10^4-event seeded
-# trace replayed through the continuous engine, diffed byte-for-byte
+# smoke run (rack adversary vs node adversary sanity inequality, the
+# flat-tree rack = node equality, domain adversary -j determinism),
+# and a churn smoke (a 10^4-event seeded trace replayed through the
+# continuous engine, diffed byte-for-byte
 # against the pinned envelope in scripts/churn_smoke.expected; the
 # churn_trace row in BENCH_churn.json must report incremental ≡
 # from-scratch re-scores and bounded per-event data movement), and
@@ -135,6 +136,19 @@ node_avail=$(echo "$topo" | sed -n 's/^ *available objects: \([0-9]*\) .*/\1/p')
 rack_avail=$(echo "$topo" | sed -n 's/^ *available: \([0-9]*\) .*/\1/p')
 [ -n "$node_avail" ] && [ -n "$rack_avail" ] && [ "$rack_avail" -ge "$node_avail" ] ||
   { echo "check.sh: topology smoke failed (rack adversary $rack_avail < node adversary $node_avail)" >&2; exit 1; }
+
+# Flat-tree gate: with singleton racks the rack adversary and the node
+# adversary run one unit search, so they must fail the same nodes and
+# leave the same availability — not merely rack >= node.
+flat=$(dune exec bin/placement_tool.exe -- attack --strategy combo \
+  -n 31 -b 600 -r 3 -s 2 -k 4 --topology rack:31/node:1 --fail-domains 4)
+flat_node_avail=$(echo "$flat" | sed -n 's/^ *available objects: \([0-9]*\) .*/\1/p')
+flat_rack_avail=$(echo "$flat" | sed -n 's/^ *available: \([0-9]*\) .*/\1/p')
+flat_node_set=$(echo "$flat" | sed -n 's/^  failed nodes: //p')
+flat_rack_set=$(echo "$flat" | sed -n 's/^    failed nodes: //p')
+[ -n "$flat_node_avail" ] && [ "$flat_rack_avail" = "$flat_node_avail" ] &&
+  [ -n "$flat_node_set" ] && [ "$flat_rack_set" = "$flat_node_set" ] ||
+  { echo "check.sh: flat-tree gate failed (rack $flat_rack_avail $flat_rack_set vs node $flat_node_avail $flat_node_set)" >&2; exit 1; }
 
 tail -n 1 BENCH_topology.json | grep -q '"identical": true' ||
   { echo "check.sh: domain adversary -j determinism guard failed (see BENCH_topology.json)" >&2; exit 1; }

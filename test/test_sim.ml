@@ -875,6 +875,44 @@ let test_serve_timeout () =
   Alcotest.(check bool) "summary still written" true
     (contains ~sub:"\"reason\": \"timeout\"" (Bytes.sub_string buf 0 n))
 
+(* A request line longer than one 64 KB read: the framing must carry
+   its tail across reads and answer it once, as line 1, and leave every
+   later request's answer as it would be without it.  The script and the
+   responses go through temp files: the junk line and its echo in the
+   error response are far beyond a pipe's buffer. *)
+let test_serve_long_line () =
+  let serve_file script =
+    let path_in = Filename.temp_file "serve_in" ".txt" in
+    let path_out = Filename.temp_file "serve_out" ".txt" in
+    Out_channel.with_open_bin path_in (fun oc -> output_string oc script);
+    let input = Unix.openfile path_in [ Unix.O_RDONLY ] 0 in
+    let output = Unix.openfile path_out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+    let outcome = Dsim.Serve.run (mk_session ()) ~input ~output in
+    Unix.close input;
+    Unix.close output;
+    let text = In_channel.with_open_bin path_out In_channel.input_all in
+    Sys.remove path_in;
+    Sys.remove path_out;
+    (outcome, String.split_on_char '\n' text |> List.filter (( <> ) ""))
+  in
+  let requests = "create\ncreate\ncreate\nquery avail\nquery worst\n" in
+  let junk = String.make 200_000 'x' ^ String.make 100_000 'y' in
+  let outcome, lines = serve_file (junk ^ "\n" ^ requests) in
+  let ref_outcome, ref_lines = serve_file requests in
+  Alcotest.(check int) "one parse error" 1 outcome.Dsim.Serve.parse_errors;
+  Alcotest.(check int) "reference has none" 0
+    ref_outcome.Dsim.Serve.parse_errors;
+  Alcotest.(check int) "one extra response" (List.length ref_lines + 1)
+    (List.length lines);
+  let err = List.hd lines in
+  Alcotest.(check bool) "the error is line 1's" true
+    (contains ~sub:"\"command\": \"error\"" err
+    && contains ~sub:"\"line\": 1" err);
+  (* The summary's stats count the parse error, so it is left out. *)
+  let answers l = List.filteri (fun i _ -> i < List.length l - 1) l in
+  Alcotest.(check (list string)) "later requests answered alike"
+    (answers ref_lines) (answers (List.tl lines))
+
 let test_serve_session_persists () =
   (* A socket daemon reuses one session across connections: the second
      run continues the first's counters and engine state. *)
@@ -972,6 +1010,8 @@ let () =
           Alcotest.test_case "timeout" `Quick test_serve_timeout;
           Alcotest.test_case "session persists" `Quick
             test_serve_session_persists;
+          Alcotest.test_case "line spanning reads" `Quick
+            test_serve_long_line;
         ] );
       ( "repair",
         [

@@ -149,6 +149,57 @@ let test_adversary_flat_equals_node () =
         rack.Topology.Adversary.failed_nodes)
     [ (31, 600, 3); (31, 600, 4); (71, 2400, 3) ]
 
+(* One record, two prefixes: on a flat tree the rack search is the node
+   search over the same units, so besides the same attack it must write
+   the same Stable greedy, kernel and spawn-phase numbers under
+   topology/adversary/ as the node adversary does under core/adversary/. *)
+let test_adversary_flat_same_counters () =
+  let n = 31 and k = 4 in
+  let layout = fig4_layout ~n ~b:600 ~k in
+  let stable prefix =
+    let shared rest =
+      String.starts_with ~prefix:"greedy/" rest
+      || String.starts_with ~prefix:"kernel/" rest
+      || rest = "bb/spawned_tasks" || rest = "bb/spawn_depth"
+    in
+    let render = function
+      | Telemetry.Registry.Count c -> string_of_int c
+      | Telemetry.Registry.Value v -> string_of_float v
+      | Telemetry.Registry.Dist _ -> "dist"
+    in
+    List.filter_map
+      (fun (path, v) ->
+        let plen = String.length prefix + 1 in
+        if String.starts_with ~prefix:(prefix ^ "/") path then
+          let rest = String.sub path plen (String.length path - plen) in
+          if shared rest then Some (rest, render v) else None
+        else None)
+      (Telemetry.Registry.snapshot ()).Telemetry.Registry.values
+  in
+  Telemetry.Registry.reset ();
+  Telemetry.Control.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.Control.set_enabled false;
+      Telemetry.Registry.reset ())
+  @@ fun () ->
+  let node = Placement.Adversary.exact layout ~s:2 ~k in
+  let node_counters = stable "core/adversary" in
+  Telemetry.Registry.reset ();
+  let rack =
+    Topology.Adversary.exact layout ~s:2 (Topology.Build.flat n) ~level:1 ~j:k
+  in
+  let rack_counters = stable "topology/adversary" in
+  Alcotest.(check (array int)) "same picks"
+    node.Placement.Adversary.failed_nodes rack.Topology.Adversary.failed_domains;
+  Alcotest.(check int) "same damage" node.Placement.Adversary.failed_objects
+    rack.Topology.Adversary.failed_objects;
+  Alcotest.(check bool) "spawn phase recorded" true
+    (List.mem_assoc "bb/spawned_tasks" node_counters
+    && List.mem_assoc "greedy/marginal_evals" node_counters);
+  Alcotest.(check (list (pair string string))) "same Stable counters"
+    node_counters rack_counters
+
 let test_adversary_exhaustive_vs_bb =
   (* The branch-and-bound must return exactly the exhaustive answer. *)
   qtest ~count:25 "exhaustive = branch-and-bound"
@@ -395,6 +446,8 @@ let () =
         [
           Alcotest.test_case "flat = node adversary" `Quick
             test_adversary_flat_equals_node;
+          Alcotest.test_case "flat = node adversary, same counters" `Quick
+            test_adversary_flat_same_counters;
           test_adversary_exhaustive_vs_bb;
           test_adversary_jobs_identical;
           Alcotest.test_case "frontier spawn depths = exhaustive" `Quick
