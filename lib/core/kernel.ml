@@ -323,8 +323,10 @@ type shard = {
    exceed both components.  [heap] is a caller-owned heap for the first
    shard (only {!select_greedy} passes one), cleared and refilled: the
    pop order is a strict total order on (key, payload), so reuse cannot
-   change any pick — it only skips the per-call allocation. *)
-let celf ?heap ?pool ~shards ~candidate ~marginal ~apply ~base ~picks units =
+   change any pick — it only skips the per-call allocation.  [keys],
+   when given, receives each pick's packed exact value, in pick order. *)
+let celf ?heap ?pool ?keys ~shards ~candidate ~marginal ~apply ~base ~picks
+    units =
   let packed ne pr = (ne * base) + pr in
   let shard i =
     let heap =
@@ -397,6 +399,7 @@ let celf ?heap ?pool ~shards ~candidate ~marginal ~apply ~base ~picks units =
         end)
       results;
     out.(pick) <- !bid;
+    Option.iter (fun ks -> ks.(pick) <- !bk) keys;
     pending := !bid
   done;
   (* The final winner's apply: the state ends with every pick applied. *)
@@ -457,7 +460,27 @@ module Dyn = struct
      exceeding every reachable (newly, progress) component yields the
      same lexicographic comparisons (see round_scan), so picks and stats
      are bit-identical to [select_greedy] on a freshly built flat kernel
-     over the same live objects. *)
+     over the same live objects.  {!rescore} is its warm-started twin
+     (DESIGN.md §12.1). *)
+
+  (* The last attack: round i picked [picks.(i)] at exact value
+     ([newly.(i)], [progress.(i)]), issued when the lifetime
+     create/delete count was [moves]. *)
+  type certificate = {
+    picks : int array;
+    newly : int array;
+    progress : int array;
+    moves : int;
+  }
+
+  type path = Certified | Resumed of int | Cold
+
+  type warm = {
+    picks : int array;
+    dead : int;
+    stats : greedy_stats;
+    path : path;
+  }
 
   type nonrec t = {
     s : int;
@@ -473,6 +496,13 @@ module Dyn = struct
     mutable killed : int;
     mutable max_degree : int;  (* monotone row-length high-water mark *)
     mutable moves : int;  (* lifetime object add/remove count *)
+    stamp : int array;  (* unit -> [moves] at its last create/delete *)
+    touched : int array;  (* units stamped since the certificate *)
+    mutable n_touched : int;  (* ... in [touched.(0 .. n_touched-1)] *)
+    mutable cert : certificate option;
+    mutable scratch : hits_plane;  (* all-up between rescores *)
+    chosen : bool array;  (* the rescore's pick prefix; all false between *)
+    heap : Combin.Heap.Int_max.t;  (* reused by every resumed CELF *)
   }
 
   let create ~units ~s =
@@ -492,6 +522,13 @@ module Dyn = struct
       killed = 0;
       max_degree = 0;
       moves = 0;
+      stamp = Array.make units 0;
+      touched = Array.make units 0;
+      n_touched = 0;
+      cert = None;
+      scratch = fresh_hits 0;
+      chosen = Array.make units false;
+      heap = Combin.Heap.Int_max.create ();
     }
 
   let units t = t.units
@@ -517,6 +554,17 @@ module Dyn = struct
       t.pos <- pos;
       t.cap <- cap
     end
+
+  (* Record that unit [u]'s row changed in the current create/delete
+     (whose [moves] count is already taken); O(1).  A unit enters
+     [touched] on its first stamp after the certificate was issued. *)
+  let stamp t u =
+    let since = match t.cert with Some c -> c.moves | None -> 0 in
+    if t.stamp.(u) <= since then begin
+      t.touched.(t.n_touched) <- u;
+      t.n_touched <- t.n_touched + 1
+    end;
+    t.stamp.(u) <- t.moves
 
   (* Append [slot] to unit [u]'s row, doubling the block when full;
      returns the entry index (the back-pointer remove_object needs). *)
@@ -550,6 +598,7 @@ module Dyn = struct
     ensure_slot_capacity t;
     let slot = t.b in
     t.b <- slot + 1;
+    t.moves <- t.moves + 1;
     let deg = Array.length units_arr in
     t.obj_units.(slot) <- Array.copy units_arr;
     let pos = Array.make deg 0 in
@@ -557,12 +606,12 @@ module Dyn = struct
     Array.iteri
       (fun i u ->
         pos.(i) <- row_push t u slot;
+        stamp t u;
         if Combin.Bitset.mem t.failed u then incr h)
       units_arr;
     t.pos.(slot) <- pos;
     t.hits.{slot} <- !h;
     if !h >= t.s then t.killed <- t.killed + 1;
-    t.moves <- t.moves + 1;
     slot
 
   (* The swap-remove in unit [u]'s row moved object [moved]'s entry from
@@ -580,10 +629,13 @@ module Dyn = struct
     if slot < 0 || slot >= t.b then
       invalid_arg "Kernel.Dyn.remove_object: object slot out of range";
     if t.hits.{slot} >= t.s then t.killed <- t.killed - 1;
-    (* Detach every row entry by swap-remove. *)
+    t.moves <- t.moves + 1;
+    (* Detach every row entry by swap-remove.  The slot renumbering
+       below changes no hit count, so only these rows are stamped. *)
     let ous = t.obj_units.(slot) and ps = t.pos.(slot) in
     Array.iteri
       (fun i u ->
+        stamp t u;
         let p = ps.(i) in
         let last = t.row_len.(u) - 1 in
         let row = t.rows.(u) in
@@ -605,7 +657,6 @@ module Dyn = struct
     t.obj_units.(lastslot) <- [||];
     t.pos.(lastslot) <- [||];
     t.b <- lastslot;
-    t.moves <- t.moves + 1;
     lastslot
 
   let check_unit t u name =
@@ -624,6 +675,14 @@ module Dyn = struct
       if h < s then incr progress
     done;
     (!newly, !progress)
+
+  (* Undoes {!row_fail} on [plane]. *)
+  let row_unfail t (plane : hits_plane) u =
+    let row = t.rows.(u) in
+    for i = 0 to t.row_len.(u) - 1 do
+      let slot = Array.unsafe_get row i in
+      plane.{slot} <- plane.{slot} - 1
+    done
 
   (* Returns the objects this unit pushed to exactly [s] hits. *)
   let row_fail t (plane : hits_plane) u =
@@ -706,4 +765,114 @@ module Dyn = struct
         ~base:(1 + t.max_degree) ~picks:k t.units
     in
     (picks, !dead, stats)
+
+  (* The warm path.  Under a fixed pick prefix a unit's value depends
+     only on its own row and the hit counts of that row's objects, and
+     a create/delete changes only the rows of the units it stamps, so an
+     unstamped unit keeps its certified value at every round.  Rounds
+     [0, from) are settled against the certificate on the persistent
+     scratch plane; CELF (the one driver above) runs the rest over the
+     same plane with the settled prefix excluded.  Round i, with the
+     settled prefix applied: let (W, w) be
+     the best stamped unit outside the prefix (value desc, id asc) and
+     (V, p) the certified round.  Every unstamped unit other than p was
+     below (V, p) and still is, so
+     - (W, w) ≥ (V, p): w wins (it beats p too, unless it is p);
+     - else p unstamped: p wins at V;
+     - else p's value dropped and any unstamped unit may now lead:
+       resume CELF at round i.
+     A winner other than p voids the certificate's later rounds (their
+     prefix no longer occurs), so CELF resumes after it.  When stamped
+     evals would cost a full bound fill (k·|T| ≥ units) the whole
+     attack runs cold; either way the picks are the greedy's own. *)
+  let rescore t ~k =
+    if k < 0 || k > t.units then
+      invalid_arg "Kernel.Dyn.rescore: more picks than units";
+    if Bigarray.Array1.dim t.scratch < t.b then t.scratch <- fresh_hits t.cap;
+    let plane = t.scratch in
+    let picks = Array.make k 0
+    and newly = Array.make k 0
+    and progress = Array.make k 0 in
+    let dead = ref 0 and evals = ref 0 in
+    let apply u =
+      t.chosen.(u) <- true;
+      dead := !dead + row_fail t plane u
+    in
+    let settle i u ne pr =
+      picks.(i) <- u;
+      newly.(i) <- ne;
+      progress.(i) <- pr;
+      apply u
+    in
+    (* The greedy's total order: (newly, progress) desc, then id asc. *)
+    let ahead ne pr u ne' pr' u' =
+      ne > ne' || (ne = ne' && (pr > pr' || (pr = pr' && u < u')))
+    in
+    let from, path =
+      match t.cert with
+      | Some c when k * t.n_touched < t.units ->
+          let common = min k (Array.length c.picks) in
+          let rec round i =
+            if i = common then i
+            else begin
+              let w = ref (-1) and wne = ref 0 and wpr = ref 0 in
+              for j = 0 to t.n_touched - 1 do
+                let u = t.touched.(j) in
+                if not t.chosen.(u) then begin
+                  let ne, pr = row_marginal t plane u in
+                  incr evals;
+                  if !w < 0 || ahead ne pr u !wne !wpr !w then begin
+                    w := u;
+                    wne := ne;
+                    wpr := pr
+                  end
+                end
+              done;
+              let p = c.picks.(i) in
+              let vne = c.newly.(i) and vpr = c.progress.(i) in
+              if !w >= 0 && not (ahead vne vpr p !wne !wpr !w) then begin
+                settle i !w !wne !wpr;
+                if !w = p then round (i + 1) else i + 1
+              end
+              else if t.stamp.(p) <= c.moves then begin
+                settle i p vne vpr;
+                round (i + 1)
+              end
+              else i
+            end
+          in
+          let from = round 0 in
+          (from, if from = k then Certified else Resumed from)
+      | _ -> (0, Cold)
+    in
+    let stats =
+      if from = k then { evals = !evals; heap_pops = 0; stale_reevals = 0 }
+      else begin
+        let base = 1 + t.max_degree in
+        let keys = Array.make (k - from) 0 in
+        let out, st =
+          celf ~heap:t.heap ~keys ~shards:1
+            ~candidate:(fun u -> not t.chosen.(u))
+            ~marginal:(row_marginal t plane) ~apply ~base ~picks:(k - from)
+            t.units
+        in
+        Array.iteri
+          (fun j u ->
+            picks.(from + j) <- u;
+            newly.(from + j) <- keys.(j) / base;
+            progress.(from + j) <- keys.(j) mod base)
+          out;
+        { st with evals = st.evals + !evals }
+      end
+    in
+    (* Back to all-up in O(k·load), and the attack becomes the new
+       certificate. *)
+    Array.iter
+      (fun u ->
+        row_unfail t plane u;
+        t.chosen.(u) <- false)
+      picks;
+    t.cert <- Some { picks; newly; progress; moves = t.moves };
+    t.n_touched <- 0;
+    { picks = Array.copy picks; dead = !dead; stats; path }
 end

@@ -155,7 +155,8 @@ type kernel = t
     per-object back-pointers, so a churn engine can create and delete
     objects in O(r) per event and fail/recover units in O(load) —
     re-scoring availability and the lazy-greedy adversary after every
-    event without ever rebuilding (DESIGN.md §12). *)
+    event without ever rebuilding, and warm-starting each adversary run
+    from the previous one ({!Dyn.rescore}, DESIGN.md §12.1). *)
 module Dyn : sig
   type t
 
@@ -233,5 +234,42 @@ module Dyn : sig
       freshly built flat kernel over the same live objects — the
       packing base differs (a monotone degree high-water mark) but
       every CELF comparison is base-invariant (see DESIGN.md §12).
+      This is the cold path, kept as the oracle {!rescore} is checked
+      against.
+      @raise Invalid_argument when [k] exceeds the unit count. *)
+
+  (** How {!rescore} reached its answer. *)
+  type path =
+    | Certified  (** every round settled by the certificate: no CELF *)
+    | Resumed of int
+        (** CELF resumed at this (0-based) round, after the certificate
+            settled the rounds before it *)
+    | Cold
+        (** no certificate yet, or k·|touched units| ≥ units: CELF from
+            round 0, exactly {!worst_case}'s run *)
+
+  type warm = {
+    picks : int array;  (** the k picks, in pick order *)
+    dead : int;  (** objects they kill *)
+    stats : greedy_stats;
+        (** the warm path's own work: stamped-unit evals plus the
+            resumed CELF's scan *)
+    path : path;
+  }
+
+  val rescore : t -> k:int -> warm
+  (** {!worst_case} warm-started from the previous call's attack, kept
+      as a certificate: each round's winner and its exact (newly,
+      progress) value.  A create or delete changes only the rows of its
+      r units (it stamps them, O(r)), and under a fixed pick prefix
+      every other unit keeps its certified value, so each round is
+      settled by re-evaluating the units stamped since the certificate;
+      CELF resumes, on a persistent all-up scratch plane, from the first
+      round whose winner could have changed.  Failures and recoveries
+      change nothing (the attack runs from all-up).  Picks and damage
+      are bit-identical to {!worst_case} for any [k] — a [k] other than
+      the certificate's verifies the common prefix and resumes CELF for
+      the rest; [stats] are the warm path's own, and the call issues the
+      next certificate.  See DESIGN.md §12.1.
       @raise Invalid_argument when [k] exceeds the unit count. *)
 end

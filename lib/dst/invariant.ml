@@ -40,6 +40,31 @@ let oracle =
         with Failure msg -> fail name "%s" msg);
   }
 
+let warm_eq_cold =
+  let name = "rescore/warm-eq-cold" in
+  let show a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
+  {
+    name;
+    describe =
+      "the warm-started worst-case rescore (attack and worst_available) \
+       equals the cold Dyn.worst_case on the same engine";
+    cadence = Step;
+    check =
+      (fun ctx ->
+        let eng = ctx.engine in
+        let warm = Lazy.force ctx.rescore in
+        let picks, dead, _ =
+          Placement.Kernel.Dyn.worst_case (Churn.kernel eng) ~k:(Churn.k eng)
+        in
+        if warm.Churn.attack <> picks then
+          fail name "warm attack [%s] <> cold attack [%s]"
+            (show warm.Churn.attack) (show picks);
+        let cold_available = Churn.live eng - dead in
+        if warm.Churn.worst_available <> cold_available then
+          fail name "warm worst_available %d <> cold %d"
+            warm.Churn.worst_available cold_available);
+  }
+
 let lower_bound =
   let name = "availability/lower-bound" in
   {
@@ -160,7 +185,8 @@ let replay =
           fail name "layout diverges on replay");
   }
 
-let builtins = [ oracle; lower_bound; movement; in_service; replay ]
+let builtins =
+  [ oracle; warm_eq_cold; lower_bound; movement; in_service; replay ]
 
 (* ------------------------------------------------------------------ *)
 (* Per-strategy auto-discovery. *)

@@ -31,8 +31,9 @@ type ctx = {
   applied : Dsim.Event.t list;
       (** every successfully applied event so far, newest first *)
   rescore : Dsim.Churn.rescore Lazy.t;
-      (** the current worst-case attack, shared so multiple invariants
-          (and the harness's own min tracking) pay for it once *)
+      (** the current worst-case attack from the warm
+          {!Dsim.Churn.rescore}, shared so multiple invariants (and the
+          harness's own min tracking) pay for it once *)
 }
 
 type t = {
@@ -48,6 +49,9 @@ val builtins : t list
     - [engine/oracle] ([Step]): {!Dsim.Churn.check} — incremental
       kernel, adaptive bookkeeping, availability, adversary picks all ≡
       from-scratch recomputation;
+    - [rescore/warm-eq-cold] ([Step]): the harness's warm
+      {!Dsim.Churn.rescore} (attack and worst_available) equals the cold
+      {!Placement.Kernel.Dyn.worst_case} on the same engine;
     - [availability/lower-bound] ([Step]): current availability (while
       at most k nodes are down) and the worst-case rescore never fall
       below the live Lemma-3 guarantee;

@@ -135,7 +135,7 @@ let parse_request line =
             | None ->
                 Error
                   (Printf.sprintf "query worst expects an integer budget, \
-                                   got %S" k))
+                                   got %s" (Event.quote k)))
         | [ "avail" ] -> Ok (Some (Query Avail))
         | [ "lower-bound" ] -> Ok (Some (Query Lower_bound))
         | _ ->
@@ -156,9 +156,9 @@ let parse_request line =
     | cmd :: _ ->
         Error
           (Printf.sprintf
-             "unknown request %S (expected an event — %s — or query \
+             "unknown request %s (expected an event — %s — or query \
               worst/avail/lower-bound, advise create, or stats)"
-             cmd
+             (Event.quote cmd)
              (String.concat ", " Event.verbs))
     | [] -> assert false
 

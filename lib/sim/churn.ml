@@ -2,6 +2,18 @@ let m_events = Telemetry.Registry.counter "sim/churn/events"
 let m_moved = Telemetry.Registry.counter "sim/churn/moved_replicas"
 let m_rescore_evals = Telemetry.Registry.counter "sim/churn/rescore/evals"
 let m_rescore_pops = Telemetry.Registry.counter "sim/churn/rescore/heap_pops"
+
+(* Why a rescore cost what it did: settled by the certificate alone,
+   CELF resumed at some round (histogram), or run cold. *)
+let m_rescore_certified =
+  Telemetry.Registry.counter "sim/churn/rescore/certified"
+
+let m_rescore_resumed = Telemetry.Registry.counter "sim/churn/rescore/resumed"
+let m_rescore_cold = Telemetry.Registry.counter "sim/churn/rescore/cold"
+
+let h_resume_round =
+  Telemetry.Registry.histogram "sim/churn/rescore/resume_round"
+
 let sp_apply = Telemetry.Registry.span "sim/churn/apply"
 let sp_rescore = Telemetry.Registry.span "sim/churn/rescore"
 
@@ -71,6 +83,7 @@ let r t = t.r
 let s t = t.s
 let k t = t.k
 let topology t = t.topology
+let kernel t = t.dyn
 let live t = Placement.Kernel.Dyn.objects t.dyn
 let events t = t.events
 let moved_replicas (t : t) = t.moved
@@ -284,10 +297,16 @@ let advise_create t = Placement.Adaptive.peek t.placement
 let rescore ?k t =
   Telemetry.Span.time sp_rescore @@ fun () ->
   let k = Option.value ~default:t.k k in
-  let picks, dead, stats = Placement.Kernel.Dyn.worst_case t.dyn ~k in
-  Telemetry.Counter.add m_rescore_evals stats.Placement.Kernel.evals;
-  Telemetry.Counter.add m_rescore_pops stats.Placement.Kernel.heap_pops;
-  { attack = picks; worst_available = live t - dead }
+  let w = Placement.Kernel.Dyn.rescore t.dyn ~k in
+  Telemetry.Counter.add m_rescore_evals w.stats.Placement.Kernel.evals;
+  Telemetry.Counter.add m_rescore_pops w.stats.Placement.Kernel.heap_pops;
+  (match w.path with
+  | Placement.Kernel.Dyn.Certified -> Telemetry.Counter.incr m_rescore_certified
+  | Placement.Kernel.Dyn.Resumed round ->
+      Telemetry.Counter.incr m_rescore_resumed;
+      Telemetry.Histogram.observe h_resume_round round
+  | Placement.Kernel.Dyn.Cold -> Telemetry.Counter.incr m_rescore_cold);
+  { attack = w.picks; worst_available = live t - w.dead }
 
 (* The incremental ≡ from-scratch oracle, every layer at once:
    - the Dyn hits plane and dead tally against a straight recount;

@@ -118,11 +118,23 @@ val advise_create : t -> int array
 
 val rescore : ?k:int -> t -> rescore
 (** Re-run the worst-case adversary on the current population without
-    rebuilding: CELF lazy-greedy over the dynamic kernel, attacking
-    from all-up.  [k] (default: the configured budget) is the attack
-    size — online queries may probe any k.  Picks and scan stats are
-    bit-identical to {!Placement.Kernel.select_greedy} on a freshly
-    built kernel over {!layout}. *)
+    rebuilding: the lazy-greedy attack from all-up, warm-started from
+    the previous rescore ({!Placement.Kernel.Dyn.rescore}) — only the
+    units a create or delete touched since then are re-evaluated, and
+    CELF resumes from the first round that could have changed.  [k]
+    (default: the configured budget) is the attack size — online
+    queries may probe any k.  Picks and damage are bit-identical to the
+    cold {!Placement.Kernel.Dyn.worst_case} (and so to
+    {!Placement.Kernel.select_greedy} on a freshly built kernel over
+    {!layout}); the [sim/churn/rescore/{evals,heap_pops}] counters
+    record the warm path's own work, and
+    [sim/churn/rescore/{certified,resumed,cold}] with the
+    [resume_round] histogram say which path each call took. *)
+
+val kernel : t -> Placement.Kernel.Dyn.t
+(** The engine's dynamic kernel — for oracles and benches that compare
+    {!rescore} with the cold {!Placement.Kernel.Dyn.worst_case}.  Read
+    it only: a create or delete on it desynchronizes the engine. *)
 
 val check : t -> unit
 (** The incremental ≡ from-scratch oracle: recounts the dynamic

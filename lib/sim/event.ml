@@ -32,6 +32,13 @@ let verbs =
   [ "fail"; "recover"; "fail-domain"; "join"; "leave"; "create"; "delete";
     "measure" ]
 
+(* Error messages quote the offending token, but at most 64 bytes of
+   it: a junk megabyte line must not come back as a megabyte error. *)
+let quote token =
+  let len = String.length token in
+  if len <= 64 then Printf.sprintf "%S" token
+  else Printf.sprintf "%S… (%d bytes)" (String.sub token 0 64) len
+
 (* One event per line, [to_line]'s spelling; blank lines and #-comments
    are skipped.  Errors are single actionable sentences — the CLI
    prefixes them with FILE:LINE. *)
@@ -45,7 +52,8 @@ let parse_line line =
     let int_arg ~what v k =
       match int_of_string_opt v with
       | Some i -> k i
-      | None -> Error (Printf.sprintf "%s expects an integer, got %S" what v)
+      | None ->
+          Error (Printf.sprintf "%s expects an integer, got %s" what (quote v))
     in
     match words with
     | "fail" :: rest -> (
@@ -90,9 +98,9 @@ let parse_line line =
     | cmd :: _ ->
         Error
           (Printf.sprintf
-             "unknown event %S (expected fail, recover, fail-domain, join, \
+             "unknown event %s (expected fail, recover, fail-domain, join, \
               leave, create, delete or measure)"
-             cmd)
+             (quote cmd))
     | [] -> assert false
 
 let parse_string text =

@@ -34,6 +34,11 @@ val verbs : string list
 (** The event verbs accepted by {!parse_line}, in the order quoted by
     its unknown-verb error. *)
 
+val quote : string -> string
+(** A token as error messages quote it: [%S]-quoted when at most 64
+    bytes long, otherwise its first 64 bytes quoted and followed by
+    [… (N bytes)], so an error never echoes a huge request back. *)
+
 val parse_line : string -> (t option, string) result
 (** Parse one line of an event file.  [Ok None] on a blank line or a
     [#] comment; [Error msg] carries a single actionable sentence. *)

@@ -13,7 +13,8 @@
 # continuous engine, diffed byte-for-byte
 # against the pinned envelope in scripts/churn_smoke.expected; the
 # churn_trace row in BENCH_churn.json must report incremental ≡
-# from-scratch re-scores and bounded per-event data movement), and
+# from-scratch re-scores, bounded per-event data movement, and warm ≡
+# cold re-scores at 10x fewer marginal evals per event), and
 # finally the serve gates (a fixed event+query script answered over
 # stdin must be byte-identical to the batch churn --responses replay
 # at -j1 and -j4, a SIGTERM mid-session must still flush a summary
@@ -160,8 +161,10 @@ tail -n 1 BENCH_topology.json | grep -q '"identical": true' ||
 # scan stats, re-verified by the engine's own oracle), and no event may
 # move more than r replicas ("moved_bounded": true — the
 # bounded-data-movement contract).  The re-score speedup is what the
-# incremental kernel buys and is recorded in the row, but it is
-# wall-clock and therefore advisory only.
+# incremental kernel buys over a rebuild (timed on the cold path, since
+# a repeated warm rescore of an unchanged engine does no work) and is
+# recorded in the row, but it is wall-clock and therefore advisory
+# only.
 churn_row=$(grep '"op": "churn_trace"' BENCH_churn.json | tail -n 1)
 [ -n "$churn_row" ] ||
   { echo "check.sh: no churn_trace row in BENCH_churn.json" >&2; exit 1; }
@@ -173,6 +176,19 @@ churn_speedup=$(echo "$churn_row" | sed -n 's/.*"rescore_speedup": \([0-9.]*\).*
 if [ -n "$churn_speedup" ] && awk "BEGIN { exit !($churn_speedup < 1.0) }"; then
   echo "check.sh: advisory: incremental re-score speedup $churn_speedup < 1x over from-scratch (see BENCH_churn.json)" >&2
 fi
+
+# Warm-rescore gates: the churn_trace row's per-event pass rescored warm
+# (certificate replay + resumed CELF) and cold after every event.  Hard
+# gates, both deterministic: the warm attack and damage equal the cold
+# ones at every event ("warm_eq_cold": true), and the warm path does at
+# least 10x fewer marginal evals per event than the cold one.
+echo "$churn_row" | grep -q '"warm_eq_cold": true' ||
+  { echo "check.sh: warm churn re-score differs from the cold adversary (see BENCH_churn.json)" >&2; exit 1; }
+warm_evals=$(echo "$churn_row" | sed -n 's/.*"warm_evals_per_event": \([0-9.]*\).*/\1/p')
+cold_evals=$(echo "$churn_row" | sed -n 's/.*"cold_evals_per_event": \([0-9.]*\).*/\1/p')
+[ -n "$warm_evals" ] && [ -n "$cold_evals" ] &&
+  awk "BEGIN { exit !(10 * $warm_evals <= $cold_evals) }" ||
+  { echo "check.sh: warm re-score evals/event ${warm_evals:-unknown} not 10x below cold ${cold_evals:-unknown} (see BENCH_churn.json)" >&2; exit 1; }
 
 # Churn smoke: a 10^4-event seeded trace through the continuous engine,
 # with per-event incremental worst-case re-scoring, must reproduce the

@@ -297,6 +297,17 @@ let test_event_error_messages () =
         (Printf.sprintf "unknown-verb error lists %s" verb)
         true (contains ~sub:verb unknown))
     Dsim.Event.verbs;
+  (* A quoted token is capped at 64 bytes plus its size; one of 64 bytes
+     is quoted whole. *)
+  let tok64 = String.make 64 'q' in
+  Alcotest.(check string) "64-byte token quoted whole"
+    (Printf.sprintf "fail expects an integer, got %S" tok64)
+    (error_of ("fail " ^ tok64));
+  Alcotest.(check string) "65-byte token capped"
+    (Printf.sprintf "fail expects an integer, got %S… (65 bytes)" tok64)
+    (error_of ("fail " ^ tok64 ^ "q"));
+  Alcotest.(check bool) "unknown verb capped" true
+    (contains ~sub:"… (100000 bytes)" (error_of (String.make 100_000 'v')));
   (* Blank lines and comments never error, whatever surrounds them. *)
   match Dsim.Event.parse_string "# a comment\n\n   \ncreate\n" with
   | Ok [ Dsim.Event.Object_create ] -> ()
@@ -473,6 +484,122 @@ let test_churn_membership_oracle =
           Dsim.Churn.check eng)
         evs;
       true)
+
+(* Warm rescoring: at every query of a seeded stream mixing every event
+   kind with `query worst K` (random K in [1, n], back-to-back queries,
+   K = n, queries on an empty population, leaves whose relocations touch
+   many units), the warm attack and its worst_available equal the cold
+   Dyn.worst_case on the same engine. *)
+let test_churn_warm_eq_cold =
+  qtest ~count:40 "warm rescore ≡ cold worst_case at every query"
+    QCheck2.Gen.(triple (int_range 0 10000) (int_range 2 4) (int_range 3 4))
+    (fun (seed, racks, per_rack) ->
+      let n = racks * per_rack in
+      let topology = Topology.Build.regular ~racks ~nodes_per_rack:per_rack in
+      let s = 1 + (seed mod 2) in
+      let eng = Dsim.Churn.create ~topology ~n ~r:3 ~s ~k:2 () in
+      let rng = Combin.Rng.create seed in
+      let created = ref 0 in
+      let query kq =
+        let warm = Dsim.Churn.rescore ~k:kq eng in
+        let picks, dead, _ =
+          Placement.Kernel.Dyn.worst_case (Dsim.Churn.kernel eng) ~k:kq
+        in
+        if
+          warm.Dsim.Churn.attack <> picks
+          || warm.Dsim.Churn.worst_available <> Dsim.Churn.live eng - dead
+        then
+          QCheck2.Test.fail_reportf
+            "k=%d after %d events: warm [%s] avail %d, cold [%s] avail %d" kq
+            (Dsim.Churn.events eng)
+            (String.concat " "
+               (Array.to_list (Array.map string_of_int warm.Dsim.Churn.attack)))
+            warm.Dsim.Churn.worst_available
+            (String.concat " " (Array.to_list (Array.map string_of_int picks)))
+            (Dsim.Churn.live eng - dead)
+      in
+      let rand_k () = 1 + Combin.Rng.int rng n in
+      (* The empty population first. *)
+      query (rand_k ());
+      query n;
+      for _ = 1 to 80 do
+        let node () = Combin.Rng.int rng n in
+        let ev =
+          match Combin.Rng.int rng 100 with
+          | d when d < 40 -> Some Dsim.Event.Object_create
+          | d when d < 52 ->
+              let id = Combin.Rng.int rng (max 1 !created) in
+              Some (Dsim.Event.Object_delete id)
+          | d when d < 62 -> Some (Dsim.Event.Node_fail (node ()))
+          | d when d < 72 -> Some (Dsim.Event.Node_recover (node ()))
+          | d when d < 77 -> Some (Dsim.Event.Node_leave (node ()))
+          | d when d < 82 -> Some (Dsim.Event.Node_join (node ()))
+          | d when d < 85 ->
+              let topo = Dsim.Churn.topology eng in
+              let level = Combin.Rng.int rng (Topology.Tree.depth topo) in
+              let dom =
+                Combin.Rng.int rng (Topology.Tree.domain_count topo ~level)
+              in
+              Some (Dsim.Event.Domain_fail (level, dom))
+          | _ -> None
+        in
+        match ev with
+        | None ->
+            (* A query, sometimes repeated back to back, sometimes K = n. *)
+            query (rand_k ());
+            if Combin.Rng.int rng 3 = 0 then query (rand_k ());
+            if Combin.Rng.int rng 5 = 0 then query n
+        | Some ev -> (
+            (* Invalid draws (an unknown id, a left node) are refused and
+               change nothing. *)
+            match Dsim.Churn.apply eng ev with
+            | _ ->
+                if ev = Dsim.Event.Object_create then incr created;
+                (match ev with
+                | Dsim.Event.Node_leave _ -> query (rand_k ())
+                | _ -> ())
+            | exception Invalid_argument _ -> ())
+      done;
+      true)
+
+(* A repeat query with nothing in between, and a query after a burst of
+   fail/recover events only, re-evaluate nothing: no create or delete
+   touched a unit, so the certificate settles every round. *)
+let test_churn_warm_repeat_free () =
+  let eng = Dsim.Churn.create ~n:30 ~r:3 ~s:2 ~k:4 () in
+  for _ = 1 to 200 do
+    ignore (Dsim.Churn.apply eng Dsim.Event.Object_create)
+  done;
+  let evals = Telemetry.Registry.counter "sim/churn/rescore/evals" in
+  let certified = Telemetry.Registry.counter "sim/churn/rescore/certified" in
+  Telemetry.Control.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.Control.set_enabled false)
+  @@ fun () ->
+  let first = Dsim.Churn.rescore eng in
+  let e0 = Telemetry.Counter.value evals in
+  Alcotest.(check bool) "the first query does work" true (e0 > 0);
+  let again = Dsim.Churn.rescore eng in
+  Alcotest.(check int) "repeat query: zero evals" e0
+    (Telemetry.Counter.value evals);
+  Alcotest.(check (array int)) "same attack" first.Dsim.Churn.attack
+    again.Dsim.Churn.attack;
+  List.iter
+    (fun ev -> ignore (Dsim.Churn.apply eng ev))
+    Dsim.Event.
+      [ Node_fail 3; Node_fail 7; Node_recover 3; Node_fail 11;
+        Node_recover 7 ];
+  let after = Dsim.Churn.rescore eng in
+  Alcotest.(check int) "after fail/recover: zero evals" e0
+    (Telemetry.Counter.value evals);
+  Alcotest.(check int) "both settled by the certificate" 2
+    (Telemetry.Counter.value certified);
+  let picks, dead, _ =
+    Placement.Kernel.Dyn.worst_case (Dsim.Churn.kernel eng) ~k:4
+  in
+  Alcotest.(check (array int)) "still the cold attack" picks
+    after.Dsim.Churn.attack;
+  Alcotest.(check int) "still the cold damage"
+    (Dsim.Churn.live eng - dead) after.Dsim.Churn.worst_available
 
 let test_churn_membership_guards () =
   let eng = Dsim.Churn.create ~n:6 ~r:2 ~s:1 ~k:1 () in
@@ -875,26 +1002,26 @@ let test_serve_timeout () =
   Alcotest.(check bool) "summary still written" true
     (contains ~sub:"\"reason\": \"timeout\"" (Bytes.sub_string buf 0 n))
 
+(* Serve a script from a temp file into another: a junk line is far
+   beyond a pipe's buffer. *)
+let serve_file script =
+  let path_in = Filename.temp_file "serve_in" ".txt" in
+  let path_out = Filename.temp_file "serve_out" ".txt" in
+  Out_channel.with_open_bin path_in (fun oc -> output_string oc script);
+  let input = Unix.openfile path_in [ Unix.O_RDONLY ] 0 in
+  let output = Unix.openfile path_out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let outcome = Dsim.Serve.run (mk_session ()) ~input ~output in
+  Unix.close input;
+  Unix.close output;
+  let text = In_channel.with_open_bin path_out In_channel.input_all in
+  Sys.remove path_in;
+  Sys.remove path_out;
+  (outcome, String.split_on_char '\n' text |> List.filter (( <> ) ""))
+
 (* A request line longer than one 64 KB read: the framing must carry
    its tail across reads and answer it once, as line 1, and leave every
-   later request's answer as it would be without it.  The script and the
-   responses go through temp files: the junk line and its echo in the
-   error response are far beyond a pipe's buffer. *)
+   later request's answer as it would be without it. *)
 let test_serve_long_line () =
-  let serve_file script =
-    let path_in = Filename.temp_file "serve_in" ".txt" in
-    let path_out = Filename.temp_file "serve_out" ".txt" in
-    Out_channel.with_open_bin path_in (fun oc -> output_string oc script);
-    let input = Unix.openfile path_in [ Unix.O_RDONLY ] 0 in
-    let output = Unix.openfile path_out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
-    let outcome = Dsim.Serve.run (mk_session ()) ~input ~output in
-    Unix.close input;
-    Unix.close output;
-    let text = In_channel.with_open_bin path_out In_channel.input_all in
-    Sys.remove path_in;
-    Sys.remove path_out;
-    (outcome, String.split_on_char '\n' text |> List.filter (( <> ) ""))
-  in
   let requests = "create\ncreate\ncreate\nquery avail\nquery worst\n" in
   let junk = String.make 200_000 'x' ^ String.make 100_000 'y' in
   let outcome, lines = serve_file (junk ^ "\n" ^ requests) in
@@ -909,6 +1036,26 @@ let test_serve_long_line () =
     (contains ~sub:"\"command\": \"error\"" err
     && contains ~sub:"\"line\": 1" err);
   (* The summary's stats count the parse error, so it is left out. *)
+  let answers l = List.filteri (fun i _ -> i < List.length l - 1) l in
+  Alcotest.(check (list string)) "later requests answered alike"
+    (answers ref_lines) (answers (List.tl lines))
+
+(* A 1 MB single-word line is refused with an error that quotes only a
+   64-byte prefix of it, and the requests after it are answered as if
+   it had never been sent. *)
+let test_serve_huge_word () =
+  let requests = "create\ncreate\nquery worst\nquery avail\n" in
+  let junk = String.make 1_048_576 'z' in
+  let outcome, lines = serve_file (junk ^ "\n" ^ requests) in
+  let _, ref_lines = serve_file requests in
+  Alcotest.(check int) "one parse error" 1 outcome.Dsim.Serve.parse_errors;
+  let err = List.hd lines in
+  Alcotest.(check bool) "an error envelope for line 1" true
+    (contains ~sub:"\"command\": \"error\"" err
+    && contains ~sub:"\"line\": 1" err);
+  Alcotest.(check bool) "under 1 KB" true (String.length err < 1024);
+  Alcotest.(check bool) "names the token's size" true
+    (contains ~sub:"(1048576 bytes)" err);
   let answers l = List.filteri (fun i _ -> i < List.length l - 1) l in
   Alcotest.(check (list string)) "later requests answered alike"
     (answers ref_lines) (answers (List.tl lines))
@@ -986,6 +1133,9 @@ let () =
           Alcotest.test_case "bounded movement" `Quick
             test_churn_bounded_movement;
           test_churn_membership_oracle;
+          test_churn_warm_eq_cold;
+          Alcotest.test_case "warm repeat is free" `Quick
+            test_churn_warm_repeat_free;
           Alcotest.test_case "membership guards" `Quick
             test_churn_membership_guards;
           Alcotest.test_case "leave relocates" `Quick
@@ -1012,6 +1162,8 @@ let () =
             test_serve_session_persists;
           Alcotest.test_case "line spanning reads" `Quick
             test_serve_long_line;
+          Alcotest.test_case "huge word, short error" `Quick
+            test_serve_huge_word;
         ] );
       ( "repair",
         [
